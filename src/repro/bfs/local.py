@@ -1,48 +1,70 @@
 """NumPy CSR kernels: BFS, shortest-path counts, Brandes dependencies.
 
-These are the O(|E|) per-sample units of work every sampler in the paper
-is priced in ("worst case time complexity of processing each sample is
-O(|E(G)|)", §4.2). They run inside Spark tasks against a broadcast
-:class:`~repro.graphs.csr.CSRGraph`, and on the driver for small graphs.
+The O(|E|) per-sample unit every sampler in the paper is priced in (§4.2).
+It runs in Spark tasks against a broadcast CSR, and on the driver.
 
-All kernels are vectorised level-synchronous sweeps — no per-edge Python
-loops — so a 100k-edge graph costs ~1 ms per source.
+One kernel serves all callers: a level-synchronous BFS from K sources at
+once over combined ids ``k·n + v`` (multi-source BFS, Then et al., VLDB
+2014). On deep graphs a pass costs NumPy calls per BFS level, not edges, and
+a batch pays them once for K sources; :func:`batch_size` fixes K from the
+graph. The forward sweep records each level's shortest-path-DAG edges; σ and
+the reverse sweep of Eq. 4 are ``bincount`` sums over them.
+
+Invariants: row k of :func:`dependency_batch` has the same bits whatever the
+rest of the batch, and the same bits as a per-source Brandes sweep (each bin
+adds its terms from 0.0 in ascending vertex order). σ beyond float64 range
+raises :class:`OverflowError`, never NaN δ.
 """
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
 from ..graphs.csr import CSRGraph
 
 
-def bfs_sigma(g: CSRGraph, source: int) -> tuple[np.ndarray, np.ndarray]:
-    """Distances and shortest-path counts from ``source``.
+def batch_size(g: CSRGraph) -> int:
+    """Sources per batch: a fixed ``2**19``-entry working set over the CSR
+    size ``2m + n``, clamped to ``[1, 64]``."""
+    return int(np.clip(2**19 // (2 * g.m + g.n), 1, 64))
 
-    Returns ``(dist, sigma)``: ``dist[v]`` is the hop distance (−1 if
-    unreachable), ``sigma[v]`` the number of shortest ``source→v`` paths
-    (float64 — counts explode combinatorially on dense graphs).
-    """
+
+def _forward(g: CSRGraph, src: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
+    """BFS from every ``src[k]`` at once: flat ``(dist, sigma)`` over ids
+    ``k·n + v``, and per level ``(frontier, pidx, child)``, the DAG edges
+    ``frontier[pidx[i]] → child[i]`` in parent, then CSR order."""
     n = g.n
-    dist = np.full(n, -1, dtype=np.int32)
-    sigma = np.zeros(n, dtype=np.float64)
-    dist[source] = 0
-    sigma[source] = 1.0
-    frontier = np.array([source], dtype=np.int64)
-    level = 0
+    if src.size and not 0 <= src.min() <= src.max() < n:
+        raise ValueError(f"source out of range [0, {n}) on {g.name}")
+    dist, sigma = np.full(src.size * n, -1, dtype=np.int32), np.zeros(src.size * n)
+    frontier = np.arange(src.size, dtype=np.int64) * n + src
+    dist[frontier], sigma[frontier] = 0, 1.0
+    levels = []
     while frontier.size:
-        # All CSR slices of the frontier, flattened.
-        starts, ends = g.indptr[frontier], g.indptr[frontier + 1]
-        counts = ends - starts
-        flat = np.repeat(frontier, counts)
-        nbrs = g.indices[_ranges(starts, counts)]
-        new_mask = dist[nbrs] == -1
-        tree_mask = new_mask | (dist[nbrs] == level + 1)
-        contrib_src, contrib_dst = flat[tree_mask], nbrs[tree_mask]
-        np.add.at(sigma, contrib_dst, sigma[contrib_src])
-        newly = np.unique(nbrs[new_mask])
-        dist[newly] = level + 1
-        frontier = newly.astype(np.int64)
-        level += 1
+        v = frontier % n
+        starts = g.indptr[v]
+        counts = g.indptr[v + 1] - starts
+        child = np.repeat(frontier - v, counts) + g.indices[_ranges(starts, counts)]
+        tree = dist[child] == -1
+        pidx, child = np.repeat(np.arange(frontier.size), counts)[tree], child[tree]
+        newly, inv = np.unique(child, return_inverse=True)
+        sigma[newly] = np.bincount(inv, sigma[frontier[pidx]], newly.size)
+        dist[newly] = len(levels) + 1
+        levels.append((frontier, pidx, child))
+        frontier = newly
+    bad = ~np.isfinite(sigma)
+    if bad.any():
+        s = int(src[np.argmax(bad) // n])
+        raise OverflowError(f"float64 σ overflows on {g.name} from source {s}")
+    return dist, sigma, levels
+
+
+def bfs_sigma(g: CSRGraph, source: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(dist, sigma)`` from ``source``: ``dist[v]`` is the hop distance (−1
+    if unreachable), ``sigma[v]`` the number of shortest ``source→v`` paths
+    (float64 — counts explode combinatorially on dense graphs)."""
+    dist, sigma, _ = _forward(g, np.array([source], dtype=np.int64))
     return dist, sigma
 
 
@@ -64,45 +86,23 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.cumsum(out)
 
 
+def dependency_batch(g: CSRGraph, sources: Sequence[int]) -> np.ndarray:
+    """Brandes dependencies ``δ_s•(v)`` as a ``(len(sources), n)`` array, row
+    ``k`` for ``s = sources[k]`` (Eq. 4; ``δ_s•(s) = 0`` by convention)."""
+    src = np.asarray(sources, dtype=np.int64).reshape(-1)
+    _, sigma, levels = _forward(g, src)
+    delta = np.zeros_like(sigma)
+    # Deepest level first; a parent's δ is complete once its children's is.
+    for frontier, pidx, child in reversed(levels):
+        share = (sigma[frontier[pidx]] / sigma[child]) * (1.0 + delta[child])
+        delta[frontier] = np.bincount(pidx, share, frontier.size)
+    delta[np.arange(src.size) * g.n + src] = 0.0
+    return delta.reshape(src.size, g.n)
+
+
 def dependency_vector(g: CSRGraph, source: int) -> np.ndarray:
-    """Brandes dependency ``δ_source•(v)`` for every vertex ``v``.
-
-    One BFS plus the reverse level sweep of Eq. 4 — the paper's core
-    O(|E|) primitive. ``δ_source•(source) = 0`` by convention.
-    """
-    dist, sigma = bfs_sigma(g, source)
-    delta = np.zeros(g.n, dtype=np.float64)
-    if not (dist >= 0).any():
-        return delta
-    order = np.argsort(dist, kind="stable")
-    reach = order[dist[order] >= 0]
-    # Process levels deepest-first; within a level, vertices are
-    # independent so the per-level edge scatter can be vectorised.
-    max_d = int(dist[reach].max())
-    by_level = [reach[dist[reach] == d] for d in range(max_d, 0, -1)]
-    for verts in by_level:
-        if verts.size == 0:
-            continue
-        starts, ends = g.indptr[verts], g.indptr[verts + 1]
-        counts = ends - starts
-        flat = np.repeat(verts, counts)
-        nbrs = g.indices[_ranges(starts, counts)]
-        # Parents of w are neighbours one level closer to the source.
-        parent_mask = dist[nbrs] == dist[flat] - 1
-        w, p = flat[parent_mask], nbrs[parent_mask]
-        share = (sigma[p] / sigma[w]) * (1.0 + delta[w])
-        np.add.at(delta, p, share)
-    delta[source] = 0.0
-    return delta
-
-
-def dependency_on(g: CSRGraph, source: int, targets: np.ndarray) -> np.ndarray:
-    """``δ_source•(r)`` for each ``r`` in ``targets`` (one Brandes pass).
-
-    Key to the joint-space sampler: the dependency of one source on *all*
-    of ``R`` comes from a single O(|E|) computation.
-    """
-    return dependency_vector(g, source)[np.asarray(targets, dtype=np.int64)]
+    """Brandes dependency ``δ_source•(v)`` for every vertex ``v``."""
+    return dependency_batch(g, [source])[0]
 
 
 def pair_dependency(g: CSRGraph, s: int, t: int, r: int) -> float:

@@ -1,9 +1,10 @@
 """Exact betweenness via Spark-distributed Brandes passes.
 
-The exact baseline of every table: single-source Brandes passes fan out
-over executors with ``mapInPandas`` against a broadcast CSR, partial
-per-partition betweenness vectors are summed with a groupBy. This is the
-O(nm) computation the paper's samplers undercut.
+The exact baseline of every table: Brandes passes fan out over executors
+with ``mapInPandas`` against a broadcast CSR, each task running the batched
+kernel on slices of :func:`~repro.bfs.local.batch_size` of its sources;
+partial per-partition betweenness vectors are summed with a groupBy. This
+is the O(nm) computation the paper's samplers undercut.
 """
 from __future__ import annotations
 
@@ -13,13 +14,20 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
-from ..bfs.local import dependency_vector
+from ..bfs.local import batch_size, dependency_batch
 from ..graphs.csr import CSRGraph
 
 
 def _sources_df(spark: SparkSession, g: CSRGraph, partitions: int) -> DataFrame:
     pdf = pd.DataFrame({"s": np.arange(g.n, dtype=np.int64)})
     return spark.createDataFrame(pdf).repartition(partitions)
+
+
+def _dependency_rows(g: CSRGraph, src: np.ndarray) -> Iterator[np.ndarray]:
+    """δ rows of ``src``, in order, one kernel batch of ``batch_size(g)`` at a time."""
+    k = batch_size(g)
+    for i in range(0, len(src), k):
+        yield dependency_batch(g, src[i : i + k])
 
 
 def _n_partitions(spark: SparkSession, n_tasks: int) -> int:
@@ -40,8 +48,9 @@ def betweenness_all(spark: SparkSession, g: CSRGraph) -> DataFrame:
         graph = bg.value
         acc = np.zeros(graph.n)
         for pdf in batches:
-            for s in pdf["s"].to_numpy():
-                acc += dependency_vector(graph, int(s))
+            for rows in _dependency_rows(graph, pdf["s"].to_numpy()):
+                for row in rows:  # one at a time, in source order: same bits
+                    acc += row
         yield pd.DataFrame({"id": np.arange(graph.n, dtype=np.int64), "bc": acc})
 
     parts = _n_partitions(spark, g.n)
@@ -87,18 +96,14 @@ def dependency_matrix(
     def part(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         graph, tgts = bg.value, bt.value
         for pdf in batches:
-            rows_s, rows_r, rows_d = [], [], []
-            for s in pdf["s"].to_numpy():
-                d = dependency_vector(graph, int(s))[tgts]
-                rows_s.append(np.full(len(tgts), s, dtype=np.int64))
-                rows_r.append(tgts)
-                rows_d.append(d)
-            if rows_s:
+            src = pdf["s"].to_numpy()
+            if len(src):
+                d = np.concatenate([b[:, tgts] for b in _dependency_rows(graph, src)])
                 yield pd.DataFrame(
                     {
-                        "s": np.concatenate(rows_s),
-                        "r": np.concatenate(rows_r),
-                        "delta": np.concatenate(rows_d),
+                        "s": np.repeat(src, len(tgts)),
+                        "r": np.tile(tgts, len(src)),
+                        "delta": d.ravel(),
                     }
                 )
 

@@ -279,18 +279,28 @@ def joint_rows(
     return rows
 
 
+def _median_secs(run):
+    """``(result, median seconds)`` of three calls of ``run``."""
+    secs = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        out = run()
+        secs.append(time.perf_counter() - t0)
+    return out, float(np.median(secs))
+
+
 def runtime_row(
     spark: SparkSession, g: CSRGraph, T: int, *, seed: int = 7
 ) -> dict:
-    """One Table-7 row: real distributed sampling vs exact Brandes."""
-    bc = None
-    t0 = time.perf_counter()
-    bc = betweenness_vector(spark, g)
-    exact_secs = time.perf_counter() - t0
+    """One Table-7 row: real distributed sampling vs exact Brandes.
+
+    Each time is the median of three runs; the seed is fixed, so every
+    run computes the same vector and the same chain.
+    """
+    bc, exact_secs = _median_secs(lambda: betweenness_vector(spark, g))
     r = int(np.argmax(bc))
-    t0 = time.perf_counter()
-    res = mh_single(spark, g, r, T, seed=seed)  # real scoring path
-    mh_secs = time.perf_counter() - t0
+    # Real scoring path: no precomputed dependency table.
+    res, mh_secs = _median_secs(lambda: mh_single(spark, g, r, T, seed=seed))
     return {
         "graph": g.name,
         "n": g.n,

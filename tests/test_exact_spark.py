@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from repro.bfs.local import batch_size
 from repro.brandes.exact import (
     betweenness_all,
     betweenness_of,
@@ -9,14 +10,21 @@ from repro.brandes.exact import (
     dependency_matrix,
     normalized_bc,
 )
-from repro.brandes.reference import brandes_dependency
+from repro.brandes.reference import brandes_betweenness, brandes_dependency
+from repro.graphs import generators as gen
 
 from .conftest import SMALL_GRAPHS, dep_column, exact_bc, graph
+from .test_local_bfs import BATCH_GRAPHS
 
 
 @pytest.mark.parametrize("key", sorted(SMALL_GRAPHS))
 def test_betweenness_vector_matches_reference(spark, key):
     assert np.allclose(betweenness_vector(spark, graph(key)), exact_bc(key))
+
+
+def test_betweenness_vector_disconnected(spark):
+    g = BATCH_GRAPHS["disconnected"]()
+    assert np.allclose(betweenness_vector(spark, g), brandes_betweenness(g))
 
 
 def test_betweenness_all_schema(spark):
@@ -50,6 +58,20 @@ class TestDependencyMatrix:
         assert sorted(dm["s"]) == [3, 7]
         for row in dm.itertuples(index=False):
             assert np.isclose(row.delta, brandes_dependency(g, int(row.s))[0])
+
+    def test_source_subset_rows_bit_identical_to_full(self, spark):
+        # Dense enough that tasks run several kernel batches, with remainders.
+        g = gen.erdos_renyi(200, 0.6, seed=3)
+        k = batch_size(g)
+        assert 1 < k < g.n // 8 and g.n % k
+        targets = [0, 17, 199]
+        full = dependency_matrix(spark, g, targets)
+        subset = [5, 60, 61, 130, 199, 2, 77, 150, 33, 101, 11]
+        sub = dependency_matrix(spark, g, targets, sources=subset)
+        want = full[full["s"].isin(subset)].reset_index(drop=True)
+        assert len(sub) == len(subset) * len(targets)
+        for col in ("s", "r", "delta"):
+            assert np.array_equal(sub[col].to_numpy(), want[col].to_numpy())
 
     def test_duplicate_targets_deduplicated(self, spark):
         g = graph("path7")
