@@ -12,7 +12,8 @@ import numpy as np
 from pyspark.sql import SparkSession
 
 from ..bfs.local import bfs_sigma
-from ..brandes.exact import dependency_matrix
+from ..brandes.exact import dependency_matrix  # noqa: F401 (for perfbench/tracing.py)
+from ..core.mh_joint import check_inputs, score_vertices_joint
 from ..graphs.csr import CSRGraph
 from .uniform_source import BaselineResult
 
@@ -38,21 +39,17 @@ def distance_sampler_estimate(
     scores: dict[int, float] | None = None,
 ) -> BaselineResult:
     """Estimate ``BC(r)`` from ``T`` distance-proportional samples."""
+    check_inputs(g, [r], T)
     rng = np.random.default_rng(seed)
     p = distance_distribution(g, r)
     samples = rng.choice(g.n, size=T, p=p)
-    scores = dict(scores) if scores else {}
-    missing = np.setdiff1d(np.unique(samples), np.array(sorted(scores), dtype=np.int64))
-    if len(missing):
-        dm = dependency_matrix(spark, g, [r], sources=missing)
-        scores.update(dict(zip(dm["s"].astype(int), dm["delta"].astype(float))))
-    vals = np.array([scores[int(s)] / p[int(s)] for s in samples])
-    est = float(vals.mean())
+    table, n_scored = score_vertices_joint(spark, g, samples, [r], scores)
+    est = float((table[samples, 0] / p[samples]).mean())
     return BaselineResult(
         r=int(r),
         T=T,
         seed=seed,
         estimate_bc=est,
         estimate_nbc=est / (g.n * (g.n - 1)),
-        n_scored=len(missing),
+        n_scored=n_scored,
     )

@@ -17,6 +17,7 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from ..bfs.local import random_shortest_path
+from ..core.mh_joint import check_inputs
 from ..graphs.csr import CSRGraph
 from .uniform_source import BaselineResult
 
@@ -30,6 +31,7 @@ def rk_estimate(
     seed: int = 0,
 ) -> BaselineResult:
     """Estimate ``nbc(r)`` from ``T`` random shortest paths."""
+    check_inputs(g, [r], T)
     rng = np.random.default_rng(seed)
     # Distinct endpoints per pair, as RK requires.
     s = rng.integers(0, g.n, size=T)

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 from pyspark.sql import SparkSession
 
-from ..brandes.exact import dependency_matrix
+from ..brandes.exact import dependency_matrix  # noqa: F401 (for perfbench/tracing.py)
+from ..core.mh_joint import check_inputs, score_vertices_joint
 from ..graphs.csr import CSRGraph
 
 
@@ -38,21 +39,17 @@ def uniform_source_estimate(
     scores: dict[int, float] | None = None,
 ) -> BaselineResult:
     """Estimate ``BC(r)`` from ``T`` uniform source samples."""
+    check_inputs(g, [r], T)
     rng = np.random.default_rng(seed)
     pool = np.setdiff1d(np.arange(g.n), [r])
     samples = pool[rng.integers(0, len(pool), size=T)]
-    scores = dict(scores) if scores else {}
-    missing = np.setdiff1d(np.unique(samples), np.array(sorted(scores), dtype=np.int64))
-    if len(missing):
-        dm = dependency_matrix(spark, g, [r], sources=missing)
-        scores.update(dict(zip(dm["s"].astype(int), dm["delta"].astype(float))))
-    vals = np.array([scores[int(s)] for s in samples])
-    est = float((g.n - 1) * vals.mean())
+    table, n_scored = score_vertices_joint(spark, g, samples, [r], scores)
+    est = float((g.n - 1) * table[samples, 0].mean())
     return BaselineResult(
         r=int(r),
         T=T,
         seed=seed,
         estimate_bc=est,
         estimate_nbc=est / (g.n * (g.n - 1)),
-        n_scored=len(missing),
+        n_scored=n_scored,
     )

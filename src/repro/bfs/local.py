@@ -105,25 +105,6 @@ def dependency_vector(g: CSRGraph, source: int) -> np.ndarray:
     return dependency_batch(g, [source])[0]
 
 
-def pair_dependency(g: CSRGraph, s: int, t: int, r: int) -> float:
-    """``δ_st(r) = σ_st(r)/σ_st`` with the endpoint convention
-    ``δ_st(r)=0`` for ``r ∈ {s, t}`` and 0 when ``t`` unreachable."""
-    if r == s or r == t or s == t:
-        return 0.0
-    dist, sigma = bfs_sigma(g, s)
-    if dist[t] < 0 or sigma[t] == 0:
-        return 0.0
-    if dist[r] < 0 or dist[r] + _dist_from(g, r, t) != dist[t]:
-        return 0.0
-    sigma_rt = bfs_sigma(g, r)[1][t]
-    return float(sigma[r] * sigma_rt / sigma[t])
-
-
-def _dist_from(g: CSRGraph, a: int, b: int) -> int:
-    d, _ = bfs_sigma(g, a)
-    return int(d[b]) if d[b] >= 0 else 1 << 30
-
-
 def random_shortest_path(
     g: CSRGraph, s: int, t: int, rng: np.random.Generator
 ) -> list[int] | None:

@@ -1,12 +1,14 @@
 """Pure-Python ground truth: Brandes, brute force, closed forms.
 
-Three independent ways to compute betweenness, used to validate the CSR
+Independent ways to compute betweenness, used to validate the CSR
 kernel and the Spark jobs:
 
 * :func:`brandes_betweenness` — textbook Brandes with explicit
   predecessor lists (no NumPy vectorisation tricks);
 * :func:`brute_force_betweenness` — enumerate *all* shortest paths per
   pair by DFS over the SPD (exponential; graphs up to ~40 vertices);
+* :func:`pair_dependency` — ``δ_st(r)`` from two forward passes, so that
+  ``δ_s•(r) = Σ_t δ_st(r)`` checks the kernel's reverse sweep;
 * closed forms for star / path / cycle / complete / barbell graphs.
 
 Convention: ordered source-target pairs (Eq. 1 sums over ordered
@@ -67,6 +69,18 @@ def brandes_betweenness(g: CSRGraph) -> np.ndarray:
     for s in range(g.n):
         bc += brandes_dependency(g, s)
     return bc
+
+
+def pair_dependency(g: CSRGraph, s: int, t: int, r: int) -> float:
+    """``δ_st(r) = σ_sr·σ_rt/σ_st`` if ``r`` lies on a shortest ``s–t`` path,
+    else 0; also 0 for ``r ∈ {s, t}`` and when ``t`` is unreachable."""
+    if r == s or r == t or s == t:
+        return 0.0
+    _, _, sigma_s, dist_s = brandes_sssp(g, s)
+    _, _, sigma_r, dist_r = brandes_sssp(g, r)
+    if dist_s[t] < 0 or dist_s[r] < 0 or dist_s[r] + dist_r[t] != dist_s[t]:
+        return 0.0
+    return sigma_s[r] * sigma_r[t] / sigma_s[t]
 
 
 def all_shortest_paths(g: CSRGraph, s: int, t: int) -> list[list[int]]:

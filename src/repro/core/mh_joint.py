@@ -2,18 +2,18 @@
 
 States are pairs ⟨r, v⟩; proposals draw both components uniformly;
 acceptance is ``min{1, δ_v'•(r') / δ_v•(r)}`` (Eq. 17); the stationary
-law is Eq. 18. From one realised chain we estimate *all* pairwise
-betweenness ratios (Eq. 22) and relative scores simultaneously —
-Bennett's acceptance-ratio method in graph clothing.
+law is Eq. 18. One realised chain estimates *all* pairwise betweenness
+ratios (Eq. 22) and relative scores — Bennett's acceptance-ratio method.
 
-Distributed structure mirrors :mod:`repro.core.mh_single`: pre-drawn
-i.i.d. proposals, Spark scores each **distinct** proposed ``v`` with one
-Brandes pass that yields ``δ_v•(r)`` for every ``r ∈ R`` at once, the
-O(T) accept/reject scan runs on the driver.
+The single-space chain (§4.2, Eq. 6) is this chain with ``|R| = 1``, so
+:mod:`repro.core.mh_single` and the δ-based baselines share its dense
+``(n, |R|)`` δ table (:func:`score_vertices_joint`, one Spark job over the
+distinct missing vertices) and its O(T) driver scan (:func:`run_joint_chain`).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 import numpy as np
 from pyspark.sql import SparkSession
@@ -46,18 +46,39 @@ class JointChainResult:
         return float(self.accepted.mean()) if len(self.accepted) else 0.0
 
 
+def check_inputs(g: CSRGraph, R: Sequence[int], T: int) -> None:
+    """Raise ``ValueError`` unless ``n ≥ 2``, ``T ≥ 1`` and ``R`` is a
+    non-empty list of distinct vertices of ``g``."""
+    distinct = len(set(R)) == len(R) > 0 and all(0 <= r < g.n for r in R)
+    if g.n < 2 or T < 1 or not distinct:
+        raise ValueError(f"{g.name}: need n >= 2, T >= 1 and distinct R in [0, n); "
+                         f"got n = {g.n}, T = {T}, R = {list(R)}")
+
+
 def score_vertices_joint(
-    spark: SparkSession, g: CSRGraph, vertices: np.ndarray, R: list[int]
-) -> dict[int, np.ndarray]:
-    """``v → [δ_v•(r) for r in R]`` — one Brandes pass per distinct v."""
+    spark: SparkSession,
+    g: CSRGraph,
+    vertices: np.ndarray,
+    R: Sequence[int],
+    scores: Mapping | None = None,
+) -> tuple[np.ndarray, int]:
+    """``(table, n_scored)``: ``table[v, j] = δ_v•(R[j])``, NaN where unknown.
+
+    ``scores`` preloads the table, as ``v → δ`` (``|R| = 1``) or
+    ``v → δ-vector over R``. The distinct ``vertices`` still missing are
+    scored by one Spark job, one Brandes pass each; ``n_scored`` counts them.
+    """
+    table = np.full((g.n, len(R)), np.nan)
+    if scores:
+        rows = np.fromiter(scores, np.int64, len(scores))
+        table[rows] = np.reshape(list(scores.values()), (len(rows), len(R)))
     distinct = np.unique(vertices)
-    dm = dependency_matrix(spark, g, R, sources=distinct)
-    # dependency_matrix sorts targets; map back to caller's R order.
-    pivot = dm.pivot(index="s", columns="r", values="delta")
-    out: dict[int, np.ndarray] = {}
-    for v, row in pivot.iterrows():
-        out[int(v)] = np.array([float(row[int(r)]) for r in R])
-    return out
+    missing = distinct[np.isnan(table[distinct]).any(axis=1)]
+    if len(missing):
+        dm = dependency_matrix(spark, g, R, sources=missing)
+        col = {int(r): j for j, r in enumerate(R)}
+        table[dm["s"].to_numpy(), dm["r"].map(col).to_numpy()] = dm["delta"].to_numpy()
+    return table, len(missing)
 
 
 def run_joint_chain(
@@ -66,31 +87,31 @@ def run_joint_chain(
     uniforms: np.ndarray,
     r0_idx: int,
     v0: int,
-    scores: dict[int, np.ndarray],
+    table: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sequential Eq.-17 accept/reject scan (driver side).
+    """Sequential Eq.-17 accept/reject scan (driver side) over a δ table.
 
-    Same zero-δ convention as the single-space chain. Returns
-    ``(r_idx_chain, v_chain, accepted)``.
+    Zero-δ convention: a proposal with δ=0 is rejected unless the current
+    state also has δ=0 (pre-support phase), in which case it is accepted —
+    zero-density states are transient and never re-entered. An unscored
+    (NaN) state raises ``ValueError``. Returns ``(r_idx_chain, v_chain,
+    accepted)``; the chains have length T+1.
     """
+    d_prop = table[prop_v, prop_r]
+    dcur = float(table[v0, r0_idx])
+    if np.isnan(d_prop).any() or np.isnan(dcur):
+        raise ValueError("chain state with no δ in the table")
     T = len(prop_r)
-    r_idx = np.empty(T + 1, dtype=np.int64)
-    v = np.empty(T + 1, dtype=np.int64)
     accepted = np.zeros(T, dtype=bool)
-    cur_r, cur_v = int(r0_idx), int(v0)
-    dcur = float(scores[cur_v][cur_r])
-    r_idx[0], v[0] = cur_r, cur_v
-    for t in range(T):
-        pr, pv = int(prop_r[t]), int(prop_v[t])
-        dprop = float(scores[pv][pr])
-        if dcur == 0.0:
-            move = True
-        else:
-            move = uniforms[t] < min(1.0, dprop / dcur)
-        if move:
-            cur_r, cur_v, dcur = pr, pv, dprop
+    for t, (dprop, u) in enumerate(zip(d_prop.tolist(), uniforms.tolist())):
+        if dcur == 0.0 or u < min(1.0, dprop / dcur):
             accepted[t] = True
-        r_idx[t + 1], v[t + 1] = cur_r, cur_v
+            dcur = dprop
+    # State t is the last of [start, proposals[:t]] that was moved to.
+    moved = np.append(True, accepted)
+    src = np.maximum.accumulate(np.where(moved, np.arange(T + 1), 0))
+    r_idx = np.append(r0_idx, prop_r).astype(np.int64)[src]
+    v = np.append(v0, prop_v).astype(np.int64)[src]
     return r_idx, v, accepted
 
 
@@ -101,7 +122,7 @@ def mh_joint(
     T: int,
     *,
     seed: int = 0,
-    scores: dict[int, np.ndarray] | None = None,
+    scores: Mapping[int, np.ndarray] | None = None,
 ) -> JointChainResult:
     """Run the joint-space sampler for ``T`` iterations.
 
@@ -109,6 +130,7 @@ def mh_joint(
     ``v → δ-vector-over-R`` table (multi-chain coverage runs); missing
     vertices are scored via Spark.
     """
+    check_inputs(g, R, T)
     k = len(R)
     rng = np.random.default_rng(seed)
     r0_idx = int(rng.integers(0, k))
@@ -116,41 +138,27 @@ def mh_joint(
     prop_r = rng.integers(0, k, size=T)
     prop_v = rng.integers(0, g.n, size=T)
     uniforms = rng.random(T)
-    needed = np.unique(np.concatenate([[v0], prop_v]))
-    scores = dict(scores) if scores else {}
-    missing = np.array([v for v in needed if int(v) not in scores], dtype=np.int64)
-    if len(missing):
-        scores.update(score_vertices_joint(spark, g, missing, R))
-    r_idx, v_chain, accepted = run_joint_chain(
-        prop_r, prop_v, uniforms, r0_idx, v0, scores
-    )
-    delta_chain = np.stack([scores[int(v)] for v in v_chain])  # (T+1, k)
-    ratio = np.full((k, k), np.nan)
-    relative = np.full((k, k), np.nan)
-    sizes = np.array([(r_idx == j).sum() for j in range(k)])
-    for j in range(k):
-        on_j = r_idx == j
-        dj = delta_chain[on_j, j]
-        for i in range(k):
-            if i == j:
-                ratio[i, j] = 1.0
-                relative[i, j] = 1.0
-                continue
-            f_ij = min_ratio(delta_chain[on_j, i], dj)
-            relative[i, j] = relative_score_estimate(f_ij)
-            on_i = r_idx == i
-            f_ji = min_ratio(delta_chain[on_i, j], delta_chain[on_i, i])
-            ratio[i, j] = eq22_ratio(f_ij, f_ji)
+    table, n_scored = score_vertices_joint(spark, g, np.append(v0, prop_v), R, scores)
+    r_idx, v, accepted = run_joint_chain(prop_r, prop_v, uniforms, r0_idx, v0, table)
+    delta_chain = table[v]  # (T+1, k)
+    on = [r_idx == j for j in range(k)]
+    # f[i][j]: min{1, δ(R[i])/δ(R[j])} along the sub-chain S(j).
+    f = [[min_ratio(delta_chain[on[j], i], delta_chain[on[j], j]) for j in range(k)]
+         for i in range(k)]
+    ratio = np.array([[1.0 if i == j else eq22_ratio(f[i][j], f[j][i])
+                       for j in range(k)] for i in range(k)])
+    relative = np.array([[1.0 if i == j else relative_score_estimate(f[i][j])
+                          for j in range(k)] for i in range(k)])
     return JointChainResult(
         R=tuple(int(r) for r in R),
         T=T,
         seed=seed,
         r_idx_chain=r_idx,
-        v_chain=v_chain,
+        v_chain=v,
         delta_chain=delta_chain,
         accepted=accepted,
         ratio=ratio,
         relative=relative,
-        subchain_sizes=sizes,
-        n_scored=len(missing),
+        subchain_sizes=np.bincount(r_idx, minlength=k),
+        n_scored=n_scored,
     )

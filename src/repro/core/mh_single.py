@@ -1,15 +1,10 @@
 """§4.2 — the single-space Metropolis-Hastings sampler for BC(r).
 
-Independence MH on the state space V(G): uniform proposals, acceptance
+Independence MH on V(G): uniform proposals, acceptance
 ``min{1, δ_v'•(r)/δ_v•(r)}`` (Eq. 6), stationary law ``P_r[·]`` (Eq. 5).
-
-Distributed execution exploits the *independence* structure: all ``T``
-proposals are i.i.d. uniform and can be pre-drawn, so the expensive part
-— one O(|E|) Brandes pass per **distinct** proposed vertex — fans out as
-a Spark job (``mapInPandas`` over a broadcast CSR, or the pure-DataFrame
-BFS kernel in ``dataframe`` mode), while the inherently sequential
-accept/reject scan is O(T) float work on the driver. For ``T ≥ n`` at
-most ``n`` passes are computed regardless of chain length.
+It is the joint-space chain of :mod:`repro.core.mh_joint` with ``R = [r]``,
+run on that module's δ table (one Spark job scores the distinct pre-drawn
+proposals, at most ``n`` Brandes passes) and its O(T) driver-side scan.
 """
 from __future__ import annotations
 
@@ -18,11 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 from pyspark.sql import SparkSession
 
-from ..bfs.dataframe_dependency import dependency_scores
-from ..brandes.exact import dependency_matrix
+from ..brandes.exact import dependency_matrix  # noqa: F401 (for perfbench/tracing.py)
 from ..graphs.csr import CSRGraph
-from ..graphs.spark_io import edges_spark, symmetric_edges
 from .estimators import eq7_accepted_only, eq7_estimate
+from .mh_joint import check_inputs, run_joint_chain as run_chain
+from .mh_joint import score_vertices_joint as score_vertices
 
 
 @dataclass(frozen=True)
@@ -45,70 +40,6 @@ class SingleChainResult:
         return float(self.accepted.mean()) if len(self.accepted) else 0.0
 
 
-def score_vertices(
-    spark: SparkSession,
-    g: CSRGraph,
-    vertices: np.ndarray,
-    r: int,
-    *,
-    kernel: str = "csr",
-) -> dict[int, float]:
-    """``δ_v•(r)`` for each distinct ``v`` — the Spark phase.
-
-    ``kernel='csr'`` distributes NumPy Brandes passes over a broadcast
-    CSR; ``kernel='dataframe'`` runs the level-synchronous DataFrame
-    BFS + reverse sweep per vertex (the faithful pure-dataflow path,
-    for small graphs / validation).
-    """
-    distinct = np.unique(vertices)
-    if kernel == "csr":
-        dm = dependency_matrix(spark, g, [r], sources=distinct)
-        return dict(zip(dm["s"].astype(int), dm["delta"].astype(float)))
-    if kernel == "dataframe":
-        sym = symmetric_edges(edges_spark(spark, g)).localCheckpoint(eager=True)
-        out: dict[int, float] = {}
-        for v in distinct:
-            dd = dependency_scores(spark, sym, int(v)).where(f"id = {int(r)}")
-            rows = dd.collect()
-            out[int(v)] = float(rows[0]["delta"]) if rows else 0.0
-        return out
-    raise ValueError(f"unknown kernel {kernel!r}")
-
-
-def run_chain(
-    proposals: np.ndarray,
-    uniforms: np.ndarray,
-    v0: int,
-    scores: dict[int, float],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The exact sequential accept/reject scan (driver side).
-
-    Zero-δ convention: a proposal with δ=0 is rejected unless the current
-    state also has δ=0 (pre-support phase), in which case it is accepted —
-    zero-density states are transient and never re-entered.
-
-    Returns ``(states, delta_chain, accepted)``.
-    """
-    T = len(proposals)
-    states = np.empty(T + 1, dtype=np.int64)
-    delta_chain = np.empty(T + 1, dtype=np.float64)
-    accepted = np.zeros(T, dtype=bool)
-    cur, dcur = int(v0), scores[int(v0)]
-    states[0], delta_chain[0] = cur, dcur
-    for t in range(T):
-        prop = int(proposals[t])
-        dprop = scores[prop]
-        if dcur == 0.0:
-            move = True
-        else:
-            move = uniforms[t] < min(1.0, dprop / dcur)
-        if move:
-            cur, dcur = prop, dprop
-            accepted[t] = True
-        states[t + 1], delta_chain[t + 1] = cur, dcur
-    return states, delta_chain, accepted
-
-
 def mh_single(
     spark: SparkSession,
     g: CSRGraph,
@@ -116,7 +47,6 @@ def mh_single(
     T: int,
     *,
     seed: int = 0,
-    kernel: str = "csr",
     scores: dict[int, float] | None = None,
 ) -> SingleChainResult:
     """Run the single-space sampler for ``T`` iterations.
@@ -126,16 +56,16 @@ def mh_single(
     precomputed δ table (e.g. when running many chains on one graph —
     Table 4 coverage runs) — any missing vertex is scored via Spark.
     """
+    check_inputs(g, [r], T)
     rng = np.random.default_rng(seed)
     v0 = int(rng.integers(0, g.n))
     proposals = rng.integers(0, g.n, size=T)
     uniforms = rng.random(T)
-    needed = np.unique(np.concatenate([[v0], proposals]))
-    scores = dict(scores) if scores else {}
-    missing = np.array([v for v in needed if int(v) not in scores], dtype=np.int64)
-    if len(missing):
-        scores.update(score_vertices(spark, g, missing, r, kernel=kernel))
-    states, delta_chain, accepted = run_chain(proposals, uniforms, v0, scores)
+    table, n_scored = score_vertices(spark, g, np.append(v0, proposals), [r], scores)
+    _, states, accepted = run_chain(
+        np.zeros(T, dtype=np.int64), proposals, uniforms, 0, v0, table
+    )
+    delta_chain = table[states, 0]
     return SingleChainResult(
         r=int(r),
         T=T,
@@ -145,5 +75,5 @@ def mh_single(
         accepted=accepted,
         estimate=eq7_estimate(delta_chain, g.n),
         estimate_accepted_only=eq7_accepted_only(delta_chain, accepted, g.n),
-        n_scored=len(missing),
+        n_scored=n_scored,
     )

@@ -9,11 +9,9 @@ from repro.bfs.local import (
     bfs_sigma,
     dependency_batch,
     dependency_vector,
-    pair_dependency,
     random_shortest_path,
 )
 from repro.brandes.reference import (
-    all_shortest_paths,
     brandes_dependency,
     brandes_sssp,
 )
@@ -91,19 +89,6 @@ class TestDependencyVector:
 
     def test_source_dependency_zero(self, any_graph):
         assert dependency_vector(any_graph, 0)[0] == 0.0
-
-    def test_definition_via_pair_dependencies(self):
-        # δ_s•(r) = Σ_t δ_st(r) with endpoints excluded.
-        g = graph("er30")
-        s = 3
-        d = dependency_vector(g, s)
-        for r in (0, 7, 15):
-            if r == s:
-                continue
-            total = sum(
-                pair_dependency(g, s, t, r) for t in range(g.n) if t not in (s, r)
-            )
-            assert np.isclose(d[r], total)
 
     def test_nonnegative(self, any_graph):
         for s in range(any_graph.n):
@@ -209,36 +194,6 @@ class TestSigmaOverflow:
         g = gen.grid_2d(30, 30)
         out = dependency_batch(g, [0, 29, 435, 899])
         assert np.isfinite(out).all()
-
-
-class TestPairDependency:
-    def test_endpoint_zero(self):
-        g = graph("path7")
-        assert pair_dependency(g, 0, 3, 0) == 0.0
-        assert pair_dependency(g, 0, 3, 3) == 0.0
-
-    def test_on_path_interior_one(self):
-        g = graph("path7")
-        assert pair_dependency(g, 0, 6, 3) == 1.0
-
-    def test_off_shortest_path_zero(self):
-        g = gen.cycle_graph(9)
-        # Geodesic 0→2 goes 0-1-2; vertex 5 is off it.
-        assert pair_dependency(g, 0, 2, 5) == 0.0
-
-    def test_fractional_on_diamond(self):
-        g = from_edges(4, graph_edges([(0, 1), (0, 2), (1, 3), (2, 3)]))
-        assert pair_dependency(g, 0, 3, 1) == 0.5
-
-    def test_matches_enumeration(self):
-        g = graph("roc3x4")
-        s, t = 0, 9
-        paths = all_shortest_paths(g, s, t)
-        for r in range(g.n):
-            if r in (s, t):
-                continue
-            frac = sum(1 for p in paths if r in p[1:-1]) / len(paths)
-            assert np.isclose(pair_dependency(g, s, t, r), frac)
 
 
 class TestRandomShortestPath:

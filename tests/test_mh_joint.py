@@ -1,16 +1,23 @@
 """Tests for the joint-space MH sampler (§4.3).
 
 As in ``test_mh_single.py``, full score tables make the Spark phase a
-no-op so these tests exercise the chain and estimators exactly.
+no-op so these tests exercise the chain and estimators exactly. The
+accept/reject scan the two samplers share is tested in ``test_mh_single.py``;
+the input checks they share with the baselines are tested here.
 """
 import numpy as np
 import pytest
 
+from repro.baselines.distance_sampler import distance_sampler_estimate
+from repro.baselines.rk_sampler import rk_estimate
+from repro.baselines.uniform_source import uniform_source_estimate
 from repro.brandes.relative import (
     min_ratio,
     relative_bc_chain,
 )
 from repro.core.mh_joint import mh_joint, run_joint_chain
+from repro.core.mh_single import mh_single
+from repro.graphs import generators as gen
 
 from .conftest import dep_column, exact_bc, graph
 
@@ -29,31 +36,31 @@ def _top_vertices(key, k=3):
 
 class TestRunJointChain:
     def test_accept_higher(self):
-        scores = {0: np.array([1.0, 2.0]), 1: np.array([3.0, 0.5])}
+        table = np.array([[1.0, 2.0], [3.0, 0.5]])
         r_idx, v, acc = run_joint_chain(
-            np.array([0]), np.array([1]), np.array([0.999]), 1, 0, scores
+            np.array([0]), np.array([1]), np.array([0.999]), 1, 0, table
         )
         # current (r=1, v=0): δ=2; proposal (r=0, v=1): δ=3 → accept.
         assert acc[0] and r_idx[1] == 0 and v[1] == 1
 
     def test_reject_zero(self):
-        scores = {0: np.array([1.0]), 1: np.array([0.0])}
+        table = np.array([[1.0], [0.0]])
         r_idx, v, acc = run_joint_chain(
-            np.array([0, 0]), np.array([1, 1]), np.zeros(2), 0, 0, scores
+            np.array([0, 0]), np.array([1, 1]), np.zeros(2), 0, 0, table
         )
         assert not acc.any() and (v == 0).all()
 
     def test_escape_zero_start(self):
-        scores = {0: np.array([0.0]), 1: np.array([4.0])}
+        table = np.array([[0.0], [4.0]])
         _, v, acc = run_joint_chain(
-            np.array([0]), np.array([1]), np.array([0.99]), 0, 0, scores
+            np.array([0]), np.array([1]), np.array([0.99]), 0, 0, table
         )
         assert acc[0] and v[1] == 1
 
     def test_shapes(self):
-        scores = {v: np.array([1.0, 1.0]) for v in range(3)}
+        table = np.ones((3, 2))
         r_idx, v, acc = run_joint_chain(
-            np.array([0, 1, 0]), np.array([1, 2, 0]), np.zeros(3), 0, 0, scores
+            np.array([0, 1, 0]), np.array([1, 2, 0]), np.zeros(3), 0, 0, table
         )
         assert len(r_idx) == 4 and len(v) == 4 and len(acc) == 3
 
@@ -166,3 +173,29 @@ class TestJointConvergence:
         den = relative_bc_chain(cols[R[1]], cols[R[0]])
         res = mh_joint(None, graph(key), R, 120_000, seed=23, scores=_joint_scores(key, R))
         assert abs(res.ratio[0, 1] - num / den) / (num / den) < 0.1
+
+
+P9 = gen.path_graph(9)
+ZERO9 = {v: 0.0 for v in range(9)}  # inputs are checked before any δ is read
+ZERO9x2 = {v: np.zeros(2) for v in range(9)}
+BAD_INPUTS = {
+    "single-r-negative": lambda: mh_single(None, P9, -1, 10, scores=ZERO9),
+    "single-r-is-n": lambda: mh_single(None, P9, 9, 10, scores=ZERO9),
+    "single-T-zero": lambda: mh_single(None, P9, 4, 0, scores=ZERO9),
+    "single-n-one": lambda: mh_single(None, gen.path_graph(1), 0, 10, scores={0: 0.0}),
+    "joint-R-duplicated": lambda: mh_joint(None, P9, [4, 4], 10, scores=ZERO9x2),
+    "joint-R-empty": lambda: mh_joint(None, P9, [], 10, scores=ZERO9),
+    "joint-R-out-of-range": lambda: mh_joint(None, P9, [4, 9], 10, scores=ZERO9x2),
+    "joint-T-zero": lambda: mh_joint(None, P9, [3, 4], 0, scores=ZERO9x2),
+    "uniform-r-negative": lambda: uniform_source_estimate(None, P9, -1, 10, scores=ZERO9),
+    "uniform-T-zero": lambda: uniform_source_estimate(None, P9, 4, 0, scores=ZERO9),
+    "distance-T-zero": lambda: distance_sampler_estimate(None, P9, 4, 0, scores=ZERO9),
+    "rk-r-is-n": lambda: rk_estimate(None, P9, 9, 10),
+    "rk-T-zero": lambda: rk_estimate(None, P9, 4, 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_inputs_rejected(case):
+    with pytest.raises(ValueError):
+        BAD_INPUTS[case]()

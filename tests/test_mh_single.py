@@ -24,49 +24,59 @@ def _scores(key, r):
     return {v: float(col[v]) for v in range(len(col))}
 
 
+def _scan(table, prop_v, uniforms, prop_r=None, r0_idx=0):
+    """``run_chain`` from vertex 0 on an ``(n, |R|)`` table; ``prop_r``
+    defaults to all R[0]."""
+    table = np.asarray(table, dtype=float)
+    prop_v = np.asarray(prop_v)
+    prop_r = np.zeros_like(prop_v) if prop_r is None else np.asarray(prop_r)
+    return run_chain(prop_r, prop_v, np.asarray(uniforms, dtype=float), r0_idx, 0, table)
+
+
 class TestRunChain:
+    """The one Eq.-17 scan; with |R| = 1 it is the Eq.-6 chain."""
+
     def test_always_accept_higher_delta(self):
-        scores = {0: 1.0, 1: 5.0}
-        states, dchain, acc = run_chain(
-            np.array([1]), np.array([0.999999]), 0, scores
-        )
-        assert acc[0] and states[1] == 1 and dchain[1] == 5.0
+        _, v, acc = _scan([[1.0], [5.0]], [1], [0.999999])
+        assert acc[0] and v[1] == 1
+        # Current (r=1, v=0) has δ=2; proposal (r=0, v=1) has δ=3.
+        r_idx, v, acc = _scan([[1.0, 2.0], [3.0, 0.5]], [1], [0.999], prop_r=[0], r0_idx=1)
+        assert acc[0] and r_idx[1] == 0 and v[1] == 1
 
     def test_reject_zero_delta_proposal(self):
-        scores = {0: 1.0, 1: 0.0}
-        states, _, acc = run_chain(np.array([1, 1, 1]), np.full(3, 0.0), 0, scores)
-        assert not acc.any() and (states == 0).all()
+        _, v, acc = _scan([[1.0], [0.0]], [1, 1, 1], np.zeros(3))
+        assert not acc.any() and (v == 0).all()
+        r_idx, v, acc = _scan([[1.0, 0.0], [0.0, 0.0]], [0, 1], np.zeros(2), prop_r=[1, 0])
+        assert not acc.any() and (v == 0).all() and (r_idx == 0).all()
 
     def test_escape_zero_delta_start(self):
-        scores = {0: 0.0, 1: 2.0}
-        states, _, acc = run_chain(np.array([1]), np.array([0.99]), 0, scores)
-        assert acc[0] and states[1] == 1
+        _, v, acc = _scan([[0.0], [2.0]], [1], [0.99])
+        assert acc[0] and v[1] == 1
+        r_idx, v, acc = _scan([[0.0, 0.0], [0.0, 4.0]], [1], [0.99], prop_r=[1])
+        assert acc[0] and r_idx[1] == 1 and v[1] == 1
 
     def test_zero_to_zero_moves(self):
-        scores = {0: 0.0, 1: 0.0}
-        states, _, acc = run_chain(np.array([1]), np.array([0.5]), 0, scores)
-        assert acc[0] and states[1] == 1
+        _, v, acc = _scan([[0.0], [0.0]], [1], [0.5])
+        assert acc[0] and v[1] == 1
+        r_idx, v, acc = _scan([[0.0, 0.0]], [0], [0.5], prop_r=[1])
+        assert acc[0] and r_idx[1] == 1
 
     def test_acceptance_probability_ratio(self):
-        # From δ=4 to δ=1 the move probability is exactly 0.25.
-        scores = {0: 4.0, 1: 1.0}
+        # Proposals alternate δ=1 and δ=4 states, so every even step starts
+        # at δ=4 and moves to δ=1 with probability exactly 0.25.
         T = 40_000
-        rng = np.random.default_rng(3)
-        props = np.ones(T, dtype=int)
-        unis = rng.random(T)
-        # Reset to state 0 each step by construction: count immediate accepts.
-        accepts = sum(
-            run_chain(props[t : t + 1], unis[t : t + 1], 0, scores)[2][0]
-            for t in range(T)
-        )
-        assert abs(accepts / T - 0.25) < 0.01
+        unis = np.random.default_rng(3).random(2 * T)
+        single = _scan([[4.0], [1.0]], np.tile([1, 0], T), unis)[2]
+        joint = _scan([[4.0, 1.0]], np.zeros(2 * T, dtype=int), unis,
+                      prop_r=np.tile([1, 0], T))[2]
+        assert np.array_equal(single, joint)
+        assert abs(single[0::2].mean() - 0.25) < 0.01 and single[1::2].all()
 
     def test_chain_shapes(self):
-        scores = {v: 1.0 for v in range(4)}
-        states, dchain, acc = run_chain(
-            np.array([1, 2, 3]), np.full(3, 0.0), 0, scores
-        )
-        assert len(states) == 4 and len(dchain) == 4 and len(acc) == 3
+        for table in (np.ones((4, 1)), np.ones((4, 2))):
+            r_idx, v, acc = _scan(table, [1, 2, 3], np.zeros(3), prop_r=[0, 0, table.shape[1] - 1])
+            assert len(r_idx) == 4 and len(v) == 4 and len(acc) == 3
+            assert v.tolist() == [0, 1, 2, 3]
 
 
 class TestMhSingleDeterminism:

@@ -1,15 +1,19 @@
 """Reference implementations validate each other + closed forms."""
 import numpy as np
+import pandas as pd
 import pytest
 
+from repro.bfs.local import dependency_vector
 from repro.brandes.reference import (
     all_shortest_paths,
     barbell_center_bc,
     brandes_betweenness,
     brute_force_betweenness,
     closed_form,
+    pair_dependency,
 )
 from repro.graphs import generators as gen
+from repro.graphs.csr import from_edges
 
 from .conftest import SMALL_GRAPHS, exact_bc, graph
 
@@ -108,3 +112,47 @@ class TestGlobalProperties:
             if s != t
         )
         assert np.isclose(exact_bc("tree15").sum(), total)
+
+
+class TestPairDependency:
+    def test_endpoint_zero(self):
+        g = graph("path7")
+        assert pair_dependency(g, 0, 3, 0) == 0.0
+        assert pair_dependency(g, 0, 3, 3) == 0.0
+
+    def test_on_path_interior_one(self):
+        g = graph("path7")
+        assert pair_dependency(g, 0, 6, 3) == 1.0
+
+    def test_off_shortest_path_zero(self):
+        g = gen.cycle_graph(9)
+        # Geodesic 0→2 goes 0-1-2; vertex 5 is off it.
+        assert pair_dependency(g, 0, 2, 5) == 0.0
+
+    def test_fractional_on_diamond(self):
+        edges = pd.DataFrame([(0, 1), (0, 2), (1, 3), (2, 3)], columns=["src", "dst"])
+        g = from_edges(4, edges)
+        assert pair_dependency(g, 0, 3, 1) == 0.5
+
+    def test_matches_enumeration(self):
+        g = graph("roc3x4")
+        s, t = 0, 9
+        paths = all_shortest_paths(g, s, t)
+        for r in range(g.n):
+            if r in (s, t):
+                continue
+            frac = sum(1 for p in paths if r in p[1:-1]) / len(paths)
+            assert np.isclose(pair_dependency(g, s, t, r), frac)
+
+    def test_definition_via_pair_dependencies(self):
+        # δ_s•(r) = Σ_t δ_st(r) with endpoints excluded.
+        g = graph("er30")
+        s = 3
+        d = dependency_vector(g, s)
+        for r in (0, 7, 15):
+            if r == s:
+                continue
+            total = sum(
+                pair_dependency(g, s, t, r) for t in range(g.n) if t not in (s, r)
+            )
+            assert np.isclose(d[r], total)

@@ -1,6 +1,5 @@
 """End-to-end sampler runs through the real Spark scoring phase."""
 import numpy as np
-import pytest
 
 from repro.core.mh_joint import mh_joint, score_vertices_joint
 from repro.core.mh_single import mh_single, score_vertices
@@ -12,31 +11,20 @@ class TestScoreVertices:
     def test_csr_kernel_matches_ground_truth(self, spark):
         key, r = "er30", 0
         col = dep_column(key, r)
-        out = score_vertices(spark, graph(key), np.array([1, 5, 9]), r)
-        for v, d in out.items():
-            assert np.isclose(d, col[v])
-
-    def test_dataframe_kernel_matches_csr(self, spark):
-        key, r = "grid3x4", 0
-        g = graph(key)
-        vs = np.array([2, 7])
-        a = score_vertices(spark, g, vs, r, kernel="csr")
-        b = score_vertices(spark, g, vs, r, kernel="dataframe")
-        for v in vs:
-            assert np.isclose(a[int(v)], b[int(v)])
-
-    def test_unknown_kernel_rejected(self, spark):
-        with pytest.raises(ValueError):
-            score_vertices(spark, graph("path7"), np.array([0]), 1, kernel="gpu")
+        table, n_scored = score_vertices(spark, graph(key), np.array([1, 5, 9, 5]), [r])
+        assert n_scored == 3
+        for v in (1, 5, 9):
+            assert np.isclose(table[v, 0], col[v])
+        assert np.isnan(np.delete(table[:, 0], [1, 5, 9])).all()
 
     def test_joint_scoring_vector_per_R(self, spark):
         key = "ba30"
         R = [0, 1, 5]
-        out = score_vertices_joint(spark, graph(key), np.array([3, 8]), R)
-        for v, vec in out.items():
-            assert len(vec) == 3
+        table, _ = score_vertices_joint(spark, graph(key), np.array([3, 8]), R)
+        assert table.shape == (graph(key).n, 3)
+        for v in (3, 8):
             for i, r in enumerate(R):
-                assert np.isclose(vec[i], dep_column(key, r)[v])
+                assert np.isclose(table[v, i], dep_column(key, r)[v])
 
 
 class TestEndToEnd:
@@ -50,14 +38,6 @@ class TestEndToEnd:
         assert np.array_equal(a.states, b.states)
         assert np.isclose(a.estimate, b.estimate)
         assert a.n_scored > 0 and b.n_scored == 0
-
-    def test_mh_single_dataframe_kernel_same_chain(self, spark):
-        key, r = "path7", 3
-        g = graph(key)
-        a = mh_single(spark, g, r, 25, seed=2, kernel="csr")
-        b = mh_single(spark, g, r, 25, seed=2, kernel="dataframe")
-        assert np.array_equal(a.states, b.states)
-        assert np.isclose(a.estimate, b.estimate)
 
     def test_mh_joint_spark_path_equals_precomputed(self, spark):
         key = "ba30"
