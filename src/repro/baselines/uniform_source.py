@@ -13,6 +13,7 @@ import numpy as np
 from pyspark.sql import SparkSession
 
 from ..brandes.exact import dependency_matrix  # noqa: F401 (for perfbench/tracing.py)
+from ..brandes.exact import normalized_bc
 from ..core.mh_joint import check_inputs, score_vertices_joint
 from ..graphs.csr import CSRGraph
 
@@ -50,6 +51,6 @@ def uniform_source_estimate(
         T=T,
         seed=seed,
         estimate_bc=est,
-        estimate_nbc=est / (g.n * (g.n - 1)),
+        estimate_nbc=normalized_bc(est, g.n),
         n_scored=n_scored,
     )

@@ -5,9 +5,8 @@ every round is ``frontier ⋈ edges → groupBy(dst).sum(σ)``, with visited
 vertices removed by an anti-join. Lineage is truncated per round with
 ``localCheckpoint`` so the plan does not grow with the diameter.
 
-Used to validate the CSR kernel (the two must agree exactly on every
-graph) and as the faithful "distributed dataflow" scoring mode of the
-samplers on small graphs.
+Validation only: the CSR kernel must agree with it exactly on every
+graph; no sampler runs it.
 """
 from __future__ import annotations
 
@@ -15,18 +14,13 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 
-def bfs_levels_sigma(
-    spark: SparkSession,
-    sym_edges: DataFrame,
-    source: int,
-    *,
-    max_iter: int = 10_000,
-) -> DataFrame:
+def bfs_levels_sigma(spark: SparkSession, sym_edges: DataFrame, source: int) -> DataFrame:
     """BFS from ``source`` over a symmetric edge table.
 
     Returns a DataFrame ``id, dist, sigma`` holding, for every *reachable*
     vertex, the hop distance and the number of shortest paths from
-    ``source`` (float64).
+    ``source`` (float64). Levels run until the frontier is empty: the
+    visited set only grows, so this ends after eccentricity + 1 rounds.
     """
     sym = sym_edges.select("src", "dst").localCheckpoint(eager=True)
     visited = spark.createDataFrame(
@@ -34,7 +28,7 @@ def bfs_levels_sigma(
     ).localCheckpoint(eager=True)
     frontier = visited
     level = 0
-    while level < max_iter:
+    while True:
         level += 1
         # σ contributions flow along every edge out of the frontier; a
         # destination's σ at this level is the sum over its frontier

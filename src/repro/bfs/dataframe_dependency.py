@@ -15,19 +15,13 @@ from pyspark.sql import functions as F
 from .dataframe_bfs import bfs_levels_sigma
 
 
-def dependency_scores(
-    spark: SparkSession,
-    sym_edges: DataFrame,
-    source: int,
-    *,
-    max_iter: int = 10_000,
-) -> DataFrame:
+def dependency_scores(spark: SparkSession, sym_edges: DataFrame, source: int) -> DataFrame:
     """Dependency ``δ_source•(v)`` for all reachable ``v``: ``id, delta``.
 
     ``delta`` is 0.0 where no shortest path from ``source`` passes (and at
     ``source`` itself, by the Brandes convention).
     """
-    lv = bfs_levels_sigma(spark, sym_edges, source, max_iter=max_iter)
+    lv = bfs_levels_sigma(spark, sym_edges, source)
     lv = lv.localCheckpoint(eager=True)
     max_level = lv.agg(F.max("dist")).collect()[0][0]
     sym = sym_edges.select("src", "dst").localCheckpoint(eager=True)

@@ -65,8 +65,12 @@ def eq19_sides(delta_i: np.ndarray, delta_j: np.ndarray) -> tuple[float, float]:
     exactly, no sampling involved. When the dependency supports of the
     two vertices are disjoint both expectations are 0 and Eq. 19 is the
     indeterminate 0/0 (the cross-multiplied Eq.-21 form still holds);
-    ``rhs`` is NaN in that case.
+    ``rhs`` is NaN in that case. A vertex with BC 0 has no stationary law
+    π (Eq. 5), so either side is undefined: ``ValueError`` naming it.
     """
+    for name, col in (("delta_i", delta_i), ("delta_j", delta_j)):
+        if float(col.sum()) == 0.0:
+            raise ValueError(f"eq19_sides: {name} sums to 0 (BC = 0); Eq. 19 is undefined")
     lhs = float(delta_i.sum()) / float(delta_j.sum())
     num = relative_bc_chain(delta_i, delta_j)  # E under π_{r_j}
     den = relative_bc_chain(delta_j, delta_i)  # E under π_{r_i}
@@ -78,8 +82,12 @@ def eq19_sides(delta_i: np.ndarray, delta_j: np.ndarray) -> tuple[float, float]:
 def eq21_residual(delta_i: np.ndarray, delta_j: np.ndarray) -> float:
     """Cross-multiplied Theorem-3 identity (summed Eq. 21):
     ``BC(r_i)·E_{π_i}[min{1, δ_j/δ_i}] − BC(r_j)·E_{π_j}[min{1, δ_i/δ_j}]``
-    — exactly 0 for every pair, including disjoint-support pairs."""
+    — exactly 0 for every pair, including disjoint-support pairs. When
+    either BC is 0 its column is all 0, so both sums are 0 and so is the
+    residual."""
     bc_i, bc_j = float(delta_i.sum()), float(delta_j.sum())
+    if bc_i == 0.0 or bc_j == 0.0:
+        return 0.0
     return bc_i * relative_bc_chain(delta_j, delta_i) - bc_j * relative_bc_chain(
         delta_i, delta_j
     )

@@ -21,7 +21,6 @@ from ..baselines.rk_sampler import rk_estimate
 from ..baselines.uniform_source import uniform_source_estimate
 from ..brandes.exact import betweenness_vector, dependency_matrix, normalized_bc
 from ..brandes.relative import (
-    min_ratio,
     mu_r,
     relative_bc_chain,
     relative_bc_eq23,
@@ -34,15 +33,31 @@ from ..graphs.csr import CSRGraph
 from ..graphs.properties import diameter
 
 
+# Table 4's (ε, δ); Table 2's Eq.-14 column uses the same pair.
+EPSILON, DELTA = 0.05, 0.1
+# Chain c of a Table-3/4/5/6 row runs with seed ``SEED0 + c``; Table 7's
+# chain uses one fixed seed.
+_T3_SEED0, _T4_SEED0, _T5_SEED0, _T6_SEED0, _T7_SEED = 100, 500, 900, 1500, 7
+# Random BFS sweeps behind Table 1's diameter lower bound.
+_DIAM_SOURCES = 32
+
+
+def dependency_columns(spark: SparkSession, g: CSRGraph, R: list[int]) -> np.ndarray:
+    """Dense ``(n, |R|)`` table ``δ_v•(R[j])`` over all ``v``: one
+    all-sources ``dependency_matrix`` job (n Brandes passes). A repeated
+    vertex in ``R`` raises."""
+    dm = dependency_matrix(spark, g, R)
+    table = np.zeros((g.n, len(R)))
+    table[dm["s"].to_numpy(), pd.Index(R).get_indexer(dm["r"])] = dm["delta"].to_numpy()
+    return table
+
+
 def dependency_column(spark: SparkSession, g: CSRGraph, r: int) -> np.ndarray:
-    """Dense ``δ_v•(r)`` over all ``v`` (one distributed pass suite)."""
-    dm = dependency_matrix(spark, g, [r])
-    col = np.zeros(g.n)
-    col[dm["s"].to_numpy()] = dm["delta"].to_numpy()
-    return col
+    """Dense ``δ_v•(r)`` over all ``v``."""
+    return dependency_columns(spark, g, [r])[:, 0]
 
 
-def dataset_row(spark: SparkSession, g: CSRGraph, *, diam_sources: int = 32) -> dict:
+def dataset_row(spark: SparkSession, g: CSRGraph) -> dict:
     """One Table-1 row: sizes, diameter bound, exact-BC cost and spread."""
     t0 = time.perf_counter()
     bc = betweenness_vector(spark, g)
@@ -51,7 +66,7 @@ def dataset_row(spark: SparkSession, g: CSRGraph, *, diam_sources: int = 32) -> 
         "graph": g.name,
         "n": g.n,
         "m": g.m,
-        "diameter>=": diameter(g, sources=min(diam_sources, g.n)),
+        "diameter>=": diameter(g, sources=min(_DIAM_SOURCES, g.n)),
         "max_degree": int(g.degrees().max()),
         "max_nbc": normalized_bc(float(bc.max()), g.n),
         "exact_bc_secs": round(exact_secs, 3),
@@ -62,16 +77,17 @@ def mu_row(spark: SparkSession, g: CSRGraph, r: int, role: str) -> dict:
     """One Table-2 row: ``μ(r)`` and the quantities Theorem 2 speaks to."""
     col = dependency_column(spark, g, r)
     nbc = normalized_bc(float(col.sum()), g.n)
+    mu = mu_r(col)
     return {
         "graph": g.name,
         "n": g.n,
         "m": g.m,
         "r": int(r),
         "role": role,
-        "mu": round(mu_r(col), 4),
+        "mu": round(mu, 4),
         "nbc": round(nbc, 6),
-        "eq14_T(eps=.05,delta=.1)": sample_budget(0.05, 0.1, mu_r(col))
-        if np.isfinite(mu_r(col))
+        "eq14_T(eps=.05,delta=.1)": sample_budget(EPSILON, DELTA, mu)
+        if np.isfinite(mu)
         else -1,
     }
 
@@ -84,7 +100,6 @@ def single_accuracy_rows(
     Ts: list[int],
     *,
     n_chains: int = 20,
-    seed0: int = 100,
 ) -> list[dict]:
     """Table-3 rows: single-space estimates vs both exact targets.
 
@@ -101,7 +116,7 @@ def single_accuracy_rows(
     for T in Ts:
         ests, accs = [], []
         for c in range(n_chains):
-            res = mh_single(spark, g, r, T, seed=seed0 + c, scores=scores)
+            res = mh_single(spark, g, r, T, seed=_T3_SEED0 + c, scores=scores)
             ests.append(res.estimate)
             accs.append(res.acceptance_rate)
         ests = np.array(ests)
@@ -132,22 +147,20 @@ def coverage_row(
     r: int,
     role: str,
     *,
-    epsilon: float = 0.05,
-    delta: float = 0.1,
     n_chains: int = 50,
-    seed0: int = 500,
 ) -> dict:
-    """One Table-4 row: run ``T`` from Eq. 14 and measure the empirical
-    failure rate ``P[|B̈C − target| > ε]`` against both targets."""
+    """One Table-4 row: run ``T`` from Eq. 14 at (``EPSILON``, ``DELTA``)
+    and measure the empirical failure rate ``P[|B̈C − target| > ε]``
+    against both targets."""
     col = dependency_column(spark, g, r)
     scores = {v: float(col[v]) for v in range(g.n)}
     mu = mu_r(col)
-    T = sample_budget(epsilon, delta, mu)
+    T = sample_budget(EPSILON, DELTA, mu)
     nbc = normalized_bc(float(col.sum()), g.n)
     limit = single_space_limit(col, g.n)
     ests = np.array(
         [
-            mh_single(spark, g, r, T, seed=seed0 + c, scores=scores).estimate
+            mh_single(spark, g, r, T, seed=_T4_SEED0 + c, scores=scores).estimate
             for c in range(n_chains)
         ]
     )
@@ -157,11 +170,11 @@ def coverage_row(
         "role": role,
         "mu": round(mu, 3),
         "eq14_T": T,
-        "bound_eq12": round(theorem1_tail(T, epsilon, mu), 4),
-        "fail_rate_vs_nbc": float((np.abs(ests - nbc) > epsilon).mean()),
-        "fail_rate_vs_limit": float((np.abs(ests - limit) > epsilon).mean()),
-        "delta": delta,
-        "epsilon": epsilon,
+        "bound_eq12": round(theorem1_tail(T, EPSILON, mu), 4),
+        "fail_rate_vs_nbc": float((np.abs(ests - nbc) > EPSILON).mean()),
+        "fail_rate_vs_limit": float((np.abs(ests - limit) > EPSILON).mean()),
+        "delta": DELTA,
+        "epsilon": EPSILON,
         "n_chains": n_chains,
     }
 
@@ -174,7 +187,6 @@ def baseline_rows(
     T: int,
     *,
     n_reps: int = 10,
-    seed0: int = 900,
 ) -> list[dict]:
     """Table-5 rows: each method's mean relative error of ``nbc(r)`` at an
     equal per-run sample budget ``T`` (one dependency pass ≙ one sample;
@@ -185,7 +197,7 @@ def baseline_rows(
 
     def errs(fn) -> np.ndarray:
         return np.array(
-            [abs(fn(seed0 + i) - nbc) / nbc if nbc > 0 else np.nan for i in range(n_reps)]
+            [abs(fn(_T5_SEED0 + i) - nbc) / nbc if nbc > 0 else np.nan for i in range(n_reps)]
         )
 
     methods = {
@@ -225,25 +237,17 @@ def joint_rows(
     Ts: list[int],
     *,
     n_chains: int = 10,
-    seed0: int = 1500,
 ) -> list[dict]:
     """Table-6 rows: Eq.-22 ratio error vs the exact BC ratio, and the
     relative-score estimate vs both exact targets, per ordered pair."""
-    dm = dependency_matrix(spark, g, list(R))
-    cols = {}
-    for r in R:
-        sub = dm[dm["r"] == r].sort_values("s")
-        c = np.zeros(g.n)
-        c[sub["s"].to_numpy()] = sub["delta"].to_numpy()
-        cols[int(r)] = c
-    scores = {
-        v: np.array([cols[int(r)][v] for r in R], dtype=float) for v in range(g.n)
-    }
+    table = dependency_columns(spark, g, list(R))
+    cols = {int(r): table[:, j] for j, r in enumerate(R)}
+    scores = dict(enumerate(table))
     bc = {int(r): float(cols[int(r)].sum()) for r in R}
     rows = []
     for T in Ts:
         runs = [
-            mh_joint(spark, g, list(R), T, seed=seed0 + c, scores=scores)
+            mh_joint(spark, g, list(R), T, seed=_T6_SEED0 + c, scores=scores)
             for c in range(n_chains)
         ]
         for i, ri in enumerate(R):
@@ -289,9 +293,7 @@ def _median_secs(run):
     return out, float(np.median(secs))
 
 
-def runtime_row(
-    spark: SparkSession, g: CSRGraph, T: int, *, seed: int = 7
-) -> dict:
+def runtime_row(spark: SparkSession, g: CSRGraph, T: int) -> dict:
     """One Table-7 row: real distributed sampling vs exact Brandes.
 
     Each time is the median of three runs; the seed is fixed, so every
@@ -300,7 +302,7 @@ def runtime_row(
     bc, exact_secs = _median_secs(lambda: betweenness_vector(spark, g))
     r = int(np.argmax(bc))
     # Real scoring path: no precomputed dependency table.
-    res, mh_secs = _median_secs(lambda: mh_single(spark, g, r, T, seed=seed))
+    res, mh_secs = _median_secs(lambda: mh_single(spark, g, r, T, seed=_T7_SEED))
     return {
         "graph": g.name,
         "n": g.n,

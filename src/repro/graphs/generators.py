@@ -123,7 +123,7 @@ def erdos_renyi(n: int, p: float, *, seed: int = 0) -> CSRGraph:
     graph = from_edges(n, _edges_df(pairs), name=f"er-{n}-p{p}-s{seed}")
     if not is_connected(graph):
         graph = largest_component(graph)
-    return CSRGraph(graph.n, graph.indptr, graph.indices, name=f"er-{n}-p{p}-s{seed}")
+    return graph
 
 
 def barabasi_albert(n: int, m_attach: int, *, seed: int = 0) -> CSRGraph:
@@ -136,7 +136,6 @@ def barabasi_albert(n: int, m_attach: int, *, seed: int = 0) -> CSRGraph:
     g = np.random.default_rng(seed)
     # Repeated-endpoints list implements preferential attachment in O(1)
     # per draw (each edge endpoint appears once per incident edge).
-    targets_pool = list(range(m_attach + 1))
     pairs = [(i, j) for i in range(m_attach + 1) for j in range(i + 1, m_attach + 1)]
     pool = [v for e in pairs for v in e]
     for v in range(m_attach + 1, n):
@@ -146,7 +145,6 @@ def barabasi_albert(n: int, m_attach: int, *, seed: int = 0) -> CSRGraph:
         for t in chosen:
             pairs.append((v, t))
             pool.extend((v, t))
-    del targets_pool
     return from_edges(n, _edges_df(pairs), name=f"ba-{n}-m{m_attach}-s{seed}")
 
 

@@ -16,11 +16,12 @@ from .csr import CSRGraph
 from .spark_io import symmetric_edges
 
 
-def connected_components(edges: DataFrame, *, max_iter: int = 50) -> DataFrame:
+def connected_components(edges: DataFrame) -> DataFrame:
     """Label-propagation connected components over an undirected edge table.
 
     Returns ``id``, ``component`` where ``component`` is the minimum vertex
-    id reachable from ``id``. Converges in O(diameter) rounds.
+    id reachable from ``id``. Rounds run until no label changes: labels
+    only decrease, so the loop ends after O(diameter) rounds.
     """
     sym = symmetric_edges(edges).localCheckpoint(eager=True)
     labels = (
@@ -29,7 +30,7 @@ def connected_components(edges: DataFrame, *, max_iter: int = 50) -> DataFrame:
         .withColumn("component", F.col("id"))
         .localCheckpoint(eager=True)
     )
-    for _ in range(max_iter):
+    while True:
         # Each vertex adopts min(own label, neighbours' labels).
         neigh_min = (
             sym.join(labels, sym.dst == labels.id)
@@ -54,8 +55,7 @@ def connected_components(edges: DataFrame, *, max_iter: int = 50) -> DataFrame:
         )
         labels = updated
         if changed == 0:
-            break
-    return labels
+            return labels
 
 
 def diameter(g: CSRGraph, *, sources: int | None = None, seed: int = 0) -> int:

@@ -1,5 +1,6 @@
 """Harness + table builders produce well-formed rows at test scale."""
 import numpy as np
+import pandas as pd
 import pytest
 
 from repro.evalharness import runner, tables
@@ -21,8 +22,19 @@ class TestRunnerPieces:
 
         assert np.allclose(col, dep_column(key, 0))
 
+    def test_dependency_columns_follow_R_order(self, spark):
+        from .conftest import dep_column
+
+        key, R = "ba30", [7, 0, 3]
+        table = runner.dependency_columns(spark, graph(key), R)
+        assert table.shape == (graph(key).n, len(R))
+        for j, r in enumerate(R):
+            assert np.allclose(table[:, j], dep_column(key, r))
+        with pytest.raises(pd.errors.InvalidIndexError):
+            runner.dependency_columns(spark, graph(key), [7, 0, 7])
+
     def test_dataset_row_fields(self, spark, small_barbell):
-        row = runner.dataset_row(spark, small_barbell, diam_sources=8)
+        row = runner.dataset_row(spark, small_barbell)
         assert row["n"] == 17 and row["m"] == small_barbell.m
         assert row["diameter>="] >= 3 and row["exact_bc_secs"] > 0
 

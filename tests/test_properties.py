@@ -32,6 +32,17 @@ class TestConnectedComponents:
         cc = connected_components(edges_spark(spark, g))
         assert cc.where(F.col("component") != 0).count() == 0
 
+    def test_long_path_needs_more_than_50_rounds(self, spark):
+        # Labels travel one hop per round: path-60 needs 59 rounds.
+        old = spark.conf.get("spark.sql.shuffle.partitions")
+        spark.conf.set("spark.sql.shuffle.partitions", "4")
+        try:
+            cc = connected_components(edges_spark(spark, gen.path_graph(60)))
+            labels = cc.toPandas()
+        finally:
+            spark.conf.set("spark.sql.shuffle.partitions", old)
+        assert len(labels) == 60 and (labels["component"] == 0).all()
+
     def test_oracle_count_per_component(self, spark):
         g = from_edges(
             5, pd.DataFrame({"src": [0, 1, 3], "dst": [1, 2, 4]})

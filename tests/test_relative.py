@@ -112,6 +112,19 @@ class TestEq19Identity:
                 res = eq21_residual(dep_column(key, vs[i]), dep_column(key, vs[j]))
                 assert abs(res) < 1e-9, (key, vs[i], vs[j])
 
+    @pytest.mark.parametrize("zero_first", [True, False], ids=["leaf-centre", "centre-leaf"])
+    def test_eq21_residual_zero_bc(self, zero_first):
+        # A star leaf has BC 0: both sides of the summed Eq. 21 are 0.
+        pair = [dep_column("star8", 1), dep_column("star8", 0)]
+        assert eq21_residual(*(pair if zero_first else pair[::-1])) == 0.0
+
+    @pytest.mark.parametrize("zero_first", [True, False], ids=["leaf-centre", "centre-leaf"])
+    def test_eq19_sides_zero_bc_raises(self, zero_first):
+        leaf, centre = dep_column("star8", 1), dep_column("star8", 0)
+        args, name = ((leaf, centre), "delta_i") if zero_first else ((centre, leaf), "delta_j")
+        with pytest.raises(ValueError, match=name):
+            eq19_sides(*args)
+
     def test_reciprocal_pairs(self):
         a, b = dep_column("er30", 0), dep_column("er30", 1)
         l1, _ = eq19_sides(a, b)
